@@ -26,7 +26,16 @@ exactly for a fixed capacity grid:
   modelled by a per-capacity *barrier*: every reference position at or
   before the barrier is non-resident.
 
-With those two corrections the stack model replays a single LRU cache
+The stack model also assumes a distance only grows between two
+references.  A re-reference that *lowers* a document's weight at some
+capacity — a refresh to a smaller body, or to one refused there —
+lowers every older position's distance, and documents the real cache
+already evicted would look resident again.  An LRU never brings an
+evicted document back, so before such a re-reference the barrier is
+raised over the evicted prefix (residency is a suffix of the recency
+stack, so "evicted" is exactly "at or before some position").
+
+With those corrections the stack model replays a single LRU cache
 bit-exactly, so the ``proxy-cache-only`` and
 ``local-browser-caches-only`` organizations (one shared LRU; one
 private LRU per client) are **exact**: one pass reproduces the replay's
@@ -267,7 +276,9 @@ class _TierStack:
                 mask &= ~bit
                 continue
             cf = self.corr[f]
-            over = (cf.total - cf.prefix(prev)) if cf is not None and cf.total else 0
+            if cf is None:
+                continue  # barrier only: the bisect above decided
+            over = (cf.total - cf.prefix(prev)) if cf.total else 0
             if (dist_all - over) * inv + size <= caps[f]:
                 mask |= bit
             else:
@@ -322,11 +333,17 @@ class _TierStack:
                 else 0
             )
             hit_mask = res_mask if vmatch else 0
+            ko = bisect_left(caps, old_size)
+            # classes where this reference lowers the document's weight:
+            # its old copy fits there (f >= ko) and the new body is
+            # smaller or refused (f < kb).
+            lowered = range(ko, self.nc) if size < old_size else range(ko, kb)
+            if lowered:
+                self._freeze_evicted(lowered, prev)
             # remove the old copy's weights (corr[f] exists for every
             # class the old copy was oversized in — created when that
             # copy was pushed)
             fen.add_at(prev, -old_size)
-            ko = bisect_left(caps, old_size)
             if ko:
                 corr = self.corr
                 for f in range(ko):
@@ -366,6 +383,51 @@ class _TierStack:
         if i + 1 >= _COMPACT_MIN_POSITIONS and i + 1 >= 4 * len(pos):
             self._compact()
         return hit_mask, cold, dist_all, vmatch
+
+    def _freeze_evicted(self, classes: Iterable[int], below: int) -> None:
+        """Raise each class's barrier to the newest position before
+        *below* that is non-resident there, so lowering distances under
+        it cannot bring an evicted document back.
+
+        Residency is monotone in position: ``dist * inv + size`` is
+        non-increasing from old to new positions (for ``inv >= 1``), so
+        the non-resident positions form a prefix and one bisection over
+        ``(barrier, below)`` finds its end.
+        """
+        fen = self.fen
+        weights = fen.weights
+        inv = self.inv
+        caps = self.caps
+        barrier = self.barrier
+        corr = self.corr
+        newly_dirty = False
+        for f in classes:
+            cap = caps[f]
+            cf = corr[f]
+            cw = cf.weights if cf is not None else None
+
+            def evicted(p: int) -> bool:
+                dist = fen.total - fen.prefix(p)
+                w = weights[p]
+                if cf is not None:
+                    dist -= cf.total - cf.prefix(p)
+                    w -= cw[p]
+                return dist * inv + w > cap
+
+            lo = barrier[f] + 1
+            hi = below - 1
+            if lo > hi or not evicted(lo):
+                continue
+            while lo < hi:  # invariant: evicted(lo)
+                mid = (lo + hi + 1) // 2
+                if evicted(mid):
+                    lo = mid
+                else:
+                    hi = mid - 1
+            newly_dirty |= barrier[f] < 0
+            barrier[f] = lo
+        if newly_dirty:
+            self._rebuild_dirty()
 
     # -- position-space compaction -------------------------------------
 
@@ -464,9 +526,10 @@ class ByteMRC:
     ``required`` is the sorted array of byte requirements (reuse
     distance plus body size) of all version-matched re-references;
     ``cum_hits``/``cum_hit_bytes`` are the matching cumulative sums.
-    ``hit_ratio(C)`` is exact for a pure LRU without size refusals and
-    a tight upper-capacity model otherwise (the fixed-grid predictions
-    in :class:`TraceMRC` carry the refusal corrections).
+    ``hit_ratio(C)`` is exact for a pure LRU without size refusals or
+    shrinking refreshes and a tight upper-capacity model otherwise (the
+    fixed-grid predictions in :class:`TraceMRC` carry the refusal and
+    barrier corrections).
     """
 
     n_requests: int

@@ -12,7 +12,7 @@ Examples::
     baps traces                             # trace characteristics only
     baps simulate --trace NLANR-uc --organization browsers-aware-proxy-server
     baps simulate --log access.log --format squid --proxy-frac 0.05
-    baps profile --trace NLANR-uc -o all    # per-phase replay timings
+    baps profile --trace NLANR-uc -o all    # replay wall time and req/s
     baps parse access.log --format squid    # trace statistics for a log
 """
 
@@ -69,14 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--timing",
         action="store_true",
         help="print the sweep timing report (cells/sec, speedup vs serial)",
-    )
-    run_p.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "collect per-phase replay timers into the timing report "
-            "(implies --timing; serial runs only — ignored with --workers)"
-        ),
     )
     run_p.add_argument(
         "--retries",
@@ -416,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     prof = sub.add_parser(
         "profile",
-        help="time the replay hot path per phase (opt-in instrumentation)",
+        help="time the production replay per organization (wall s, req/s)",
     )
     prof_src = prof.add_mutually_exclusive_group()
     prof_src.add_argument(
@@ -445,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="replacement policy (lru, fifo, lfu, size, gdsf)")
     prof.add_argument("--index-kind", choices=("exact", "bloom"), default="exact")
     prof.add_argument("--repeat", type=int, default=1, metavar="N",
-                      help="replay N times, accumulating timers (default: 1)")
+                      help="replay N times, summing the wall time (default: 1)")
     prof.add_argument("--json", action="store_true",
                       help="emit a machine-readable JSON summary instead")
 
@@ -621,8 +613,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_profile(args) -> int:
     import json
 
-    from repro.util.profiling import ReplayProfile
-
     trace = _load_trace(args)
     if len(trace) == 0:
         print("trace is empty after filtering", file=sys.stderr)
@@ -644,16 +634,28 @@ def _cmd_profile(args) -> int:
     )
     summaries = {}
     for organization in organizations:
-        profile = ReplayProfile()
+        n_requests = 0
+        wall_seconds = 0.0
         for _ in range(args.repeat):
-            simulate(trace, organization, config, profile=profile)
-        if args.json:
-            summaries[organization.value] = profile.as_dict()
-        else:
-            print(f"{organization.value} — {trace.name}")
-            print(profile.render())
+            t0 = time.perf_counter()
+            result = simulate(trace, organization, config)
+            wall_seconds += time.perf_counter() - t0
+            n_requests += result.n_requests
+        summaries[organization.value] = {
+            "n_requests": n_requests,
+            "wall_seconds": wall_seconds,
+            "requests_per_second": n_requests / wall_seconds if wall_seconds > 0 else 0.0,
+        }
     if args.json:
         print(json.dumps({"trace": trace.name, "organizations": summaries}, indent=2))
+        return 0
+    rows = [
+        [org, f"{s['n_requests']:,}", f"{s['wall_seconds']:.4f}s",
+         f"{s['requests_per_second']:,.0f}"]
+        for org, s in summaries.items()
+    ]
+    print(ascii_table(["organization", "requests", "wall", "req/s"], rows,
+                      title=f"replay timing — {trace.name}"))
     return 0
 
 
@@ -721,21 +723,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     workers = None if args.workers < 0 else args.workers
-    if args.profile:
-        args.timing = True
     if args.sample_rate is not None and not args.mrc:
         print("--sample-rate requires --mrc (it samples the one-pass "
               "analysis, not the replay engine)", file=sys.stderr)
         return 2
     if args.mrc and any((args.retries, args.cell_timeout, args.journal,
-                         args.resume, args.profile)):
+                         args.resume)):
         print("--mrc computes the whole grid in one in-process pass; the "
               "per-cell fault-tolerance flags (--retries, --cell-timeout, "
-              "--journal, --resume, --profile) do not apply", file=sys.stderr)
+              "--journal, --resume) do not apply", file=sys.stderr)
         return 2
     options = None
-    if any((args.retries, args.cell_timeout, args.journal, args.resume,
-            args.profile)):
+    if any((args.retries, args.cell_timeout, args.journal, args.resume)):
         from repro.core.parallel import EngineOptions
 
         options = EngineOptions(
@@ -743,7 +742,6 @@ def main(argv: list[str] | None = None) -> int:
             cell_timeout=args.cell_timeout,
             journal=args.journal,
             resume=args.resume,
-            profile=args.profile,
         )
     def _csv(raw: str | None, cast):
         if raw is None:

@@ -327,6 +327,13 @@ class SimulationConfig:
                 self, "static_blacklist",
                 tuple(sorted(set(self.static_blacklist))),
             )
+        if self.federation is not None and self.consistency is not None:
+            raise ValueError(
+                "consistency is not supported with federation: the "
+                "multi-proxy engine has no coherence step, so expiration "
+                "and validations would be silently ignored — set "
+                "federation=None to replay a consistency policy"
+            )
         if self.chaos is not None:
             chaos = self.chaos
             for name in ("churn", "proxy_faults", "adversarial"):

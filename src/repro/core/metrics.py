@@ -43,12 +43,6 @@ class SweepTiming:
     cell_seconds: tuple[float, ...] = ()
     #: pool width the caller requested; ``None`` means "same as used".
     requested_workers: int | None = None
-    #: per-phase replay wall clock aggregated across all cells, as
-    #: ``(phase, seconds)`` pairs in canonical order — populated only
-    #: when the engine ran serially with
-    #: :attr:`~repro.core.parallel.EngineOptions.profile` enabled
-    #: (worker processes cannot ship their timers back).
-    phase_seconds: tuple[tuple[str, float], ...] = ()
     #: whether the per-cell timeout could actually be enforced: False
     #: when a timeout was requested but the platform lacks SIGALRM (or
     #: the engine ran off the main thread), so cells ran unbounded.
@@ -146,8 +140,6 @@ class SweepTiming:
             rows.append(["peak traced alloc", format_bytes(self.peak_traced_bytes)])
         if not self.timeout_supported:
             rows.append(["cell timeout", "UNSUPPORTED on this platform"])
-        for phase, seconds in self.phase_seconds:
-            rows.append([f"phase: {phase}", f"{seconds:.3f}s"])
         return ascii_table(["quantity", "value"], rows, title="sweep timing")
 
 

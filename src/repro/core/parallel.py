@@ -65,7 +65,6 @@ from repro.core.policies import Organization
 from repro.core.simulator import simulate
 from repro.traces.record import Trace
 from repro.util.memory import peak_rss_bytes, tracemalloc_peak_bytes
-from repro.util.profiling import ReplayProfile
 from repro.util.rng import derive_seed
 
 __all__ = [
@@ -116,13 +115,6 @@ class EngineOptions:
     faults: FaultPlan | None = None
     #: after this many pool crashes, remaining cells run one-per-pool.
     isolate_after_crashes: int = 2
-    #: collect per-phase replay timers (see
-    #: :mod:`repro.util.profiling`) aggregated across cells into
-    #: ``SweepRun.timing.phase_seconds``.  Honoured on the serial path
-    #: only — pool workers cannot ship their timers back, so pooled
-    #: runs leave ``phase_seconds`` empty.  Results stay bit-identical
-    #: either way (the instrumented loops only add observation).
-    profile: bool = False
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -394,21 +386,18 @@ def _execute_cell(
     timeout: float | None = None,
     faults: FaultPlan | None = None,
     in_worker: bool = False,
-    profile: ReplayProfile | None = None,
 ):
     """Run one attempt of one cell; never raises.  Returns
     ``(index, ok, payload, elapsed, outcome, peak_rss)`` where payload
     is a result or an ``(error, traceback)`` pair, outcome is
     ``"ok"`` / ``"error"`` / ``"timeout"``, and peak_rss is the
     executing process's lifetime RSS high-water mark in bytes (so the
-    sweep can report its memory footprint across workers).  When
-    *profile* is given the replay accumulates its per-phase timers
-    into it."""
+    sweep can report its memory footprint across workers)."""
     t0 = time.perf_counter()
     try:
         with _deadline(timeout):
             _maybe_inject(faults, cell, attempt, in_worker)
-            result = simulate(trace, cell.organization, cell.config, profile=profile)
+            result = simulate(trace, cell.organization, cell.config)
     except Exception as exc:  # a crashing cell must not kill the sweep
         elapsed = time.perf_counter() - t0
         error = f"{type(exc).__name__}: {exc}"
@@ -460,10 +449,6 @@ class _Engine:
         self.peak_rss = 0
         self.unresolved: set[int] = set()
         self.completed = 0
-        #: shared per-phase timers (serial path only; see EngineOptions).
-        self.profile: ReplayProfile | None = (
-            ReplayProfile() if options.profile else None
-        )
         self.journal: JournalWriter | None = (
             JournalWriter(options.journal) if options.journal is not None else None
         )
@@ -600,7 +585,6 @@ class _Engine:
                         timeout=options.cell_timeout,
                         faults=options.faults,
                         in_worker=False,
-                        profile=self.profile,
                     )
                 )
 
@@ -778,9 +762,6 @@ def run_cells(
         cell_seconds=tuple(engine.cell_seconds[i] for i in range(len(cells))),
         requested_workers=requested,
         timeout_supported=timeout_supported,
-        phase_seconds=(
-            engine.profile.as_pairs() if engine.profile is not None else ()
-        ),
         peak_rss_bytes=max(engine.peak_rss, peak_rss_bytes()),
         peak_traced_bytes=tracemalloc_peak_bytes(),
     )

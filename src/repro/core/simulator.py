@@ -28,25 +28,26 @@ Request path (matching paper §2/§3.2):
 Every leg is priced by the §4.2/§5 timing models into the result's
 :class:`~repro.core.overhead.OverheadReport`.
 
-The replay loops are the throughput bottleneck of every sweep, so they
-are written as *optimized fast paths*: per-request counters accumulate
-in local variables and flush into the result once at finalise, the
-timing arithmetic of the §4.2/§5 models is inlined (same operations in
-the same order, so the floats are bit-identical), per-client cache
+:meth:`Simulator.run` is the one replay kernel for every
+configuration: a probe phase deciding where each request is served, one
+populate tail, and a flush of batched counters.  Expiration-based
+coherence (``config.consistency``) is a branch bound once before the
+loop, not a second loop.  The kernel is the throughput bottleneck of
+every sweep, so it is written as an *optimized fast path*: per-request
+counters accumulate in local variables and flush into the result once,
+the timing arithmetic of the §4.2/§5 models is inlined (same operations
+in the same order, so the floats are bit-identical), per-client cache
 handles are precomputed, and config/feature reads are hoisted out of
 the loop.  :mod:`repro.core.reference` keeps a frozen copy of the
 straight-line engine; the differential suite
 (``tests/test_differential.py``) replays randomized configurations
 through both and asserts the results are exactly equal, field for
-field.  Passing a :class:`~repro.util.profiling.ReplayProfile` switches
-to instrumented loops that additionally time each phase
-(results stay bit-identical; only observation is added).
+field.
 """
 
 from __future__ import annotations
 
 import random
-from time import perf_counter
 
 from repro.adversarial import PeerPopulation
 from repro.cache import TieredLRUCache, make_cache
@@ -65,7 +66,6 @@ from repro.index.staleness import StalenessStats
 from repro.network.ethernet import SharedBus
 from repro.security.protocols import SecurityOverheadModel
 from repro.traces.record import Trace
-from repro.util.profiling import ReplayProfile
 from repro.util.rng import derive_seed
 from repro.util.units import BITS_PER_BYTE
 
@@ -122,21 +122,10 @@ def bloom_expected_docs(
 
 
 class Simulator:
-    """One organization, one configuration, one trace replay.
-
-    ``profile`` opts into the instrumented loops: per-phase wall-clock
-    timers accumulated into the given
-    :class:`~repro.util.profiling.ReplayProfile`.  It is a constructor
-    argument rather than a config knob so journal identity digests
-    (``config_digest``) are unaffected.
-    """
+    """One organization, one configuration, one trace replay."""
 
     def __init__(
-        self,
-        trace: Trace,
-        organization: Organization,
-        config: SimulationConfig,
-        profile: ReplayProfile | None = None,
+        self, trace: Trace, organization: Organization, config: SimulationConfig
     ) -> None:
         if config.chaos is not None:
             # Resolve a composed chaos plan once, up front, so every
@@ -146,7 +135,6 @@ class Simulator:
         self.trace = trace
         self.organization = organization
         self.config = config
-        self.profile = profile
         self.features = organization.features
         if config.memory_fraction is not None and (
             config.browser_policy != "lru" or config.proxy_policy != "lru"
@@ -248,7 +236,7 @@ class Simulator:
 
         # Proxy crash recovery.  Nothing below constructs an RNG unless
         # a rate-based fault model is actually configured; the default
-        # (always-up proxy) leaves the replay loops untouched.
+        # (always-up proxy) leaves the replay kernel untouched.
         self._fault_schedule = (
             ProxyFaultSchedule(config.proxy_faults, seed=config.availability_seed)
             if config.proxy_faults is not None
@@ -275,7 +263,7 @@ class Simulator:
 
         # Opt-in mid-replay invariant monitor (repro.core.chaos).  The
         # default (chaos=None) adds one never-taken branch per request
-        # to each replay loop and constructs nothing.
+        # to the replay kernel and constructs nothing.
         chaos = config.chaos
         self._monitor = (
             InvariantMonitor(config, chaos.check_invariants_every)
@@ -431,7 +419,7 @@ class Simulator:
         return self._banned_set
 
     def _guarded_lookup_fn(self, index):
-        """The ``index.lookup`` binding for the replay loops.
+        """The ``index.lookup`` binding for the replay kernel.
 
         Quarantine off — the raw bound method, so the hot path is
         untouched.  Quarantine armed — a wrapper filtering blacklisted
@@ -470,7 +458,7 @@ class Simulator:
         discarded transfer plus verification for an integrity failure —
         and leaves escalation to the caller.  A successful probe only
         submits the bus transfer; the *caller* accounts the remote hit
-        (so the replay loops can batch those counters).
+        (so :meth:`run` can batch those counters).
         """
         config = self.config
         result = self.result
@@ -518,27 +506,21 @@ class Simulator:
         return True, memory
 
     def _remote_delivery(
-        self, c: int, d: int, s: int, v: int, t: float, prof: ReplayProfile | None = None
+        self, c: int, d: int, s: int, v: int, t: float
     ) -> tuple[bool, bool | None]:
-        """The resilient remote-hit path shared by both replay loops.
+        """The resilient remote-hit path, as one call (the federation
+        engine's; :meth:`run` inlines the lookup).
 
         Looks up a holder, then fails over across the index's replica
         list — bounded by ``config.max_holder_retries`` — until one
         probe serves the document or the candidates are exhausted.
         Returns ``(served, memory_tier)``; on ``True`` the caller
         accounts the remote hit, on ``False`` the request escalates to
-        the origin.  ``prof`` (instrumented loops only) times the index
-        lookup as its own sub-phase.
+        the origin.
         """
         index = self.index
         result = self.result
-        lookup = self._guarded_lookup_fn(index)
-        if prof is None:
-            hit = lookup(d, c, t, v)
-        else:
-            t0 = perf_counter()
-            hit = lookup(d, c, t, v)
-            prof.add("index_lookup", perf_counter() - t0)
+        hit = self._guarded_lookup_fn(index)(d, c, t, v)
         if hit is None:
             # Was this a lost opportunity?  Check the truth.
             if self._recovering:
@@ -558,9 +540,9 @@ class Simulator:
         """Probe the looked-up holder, failing over across the index's
         replica list until one probe serves or candidates run out.
 
-        Split from :meth:`_remote_delivery` so the optimized loops can
-        inline the (far more common) lookup-miss path and only pay this
-        call on an index hit.
+        Split from :meth:`_remote_delivery` so :meth:`run` can inline
+        the (far more common) lookup-miss path and only pay this call on
+        an index hit.
         """
         index = self.index
         result = self.result
@@ -655,7 +637,7 @@ class Simulator:
         *t*, in time order, and advance any open rebuild window.
 
         Returns True when a crash replaced the proxy/index objects —
-        the replay loops must refresh their local bindings.  Called
+        the replay kernel must refresh its local bindings.  Called
         before each request is served, so index state seen by a
         checkpoint or crash is exactly the state at its virtual time
         (index state only changes at requests).
@@ -767,44 +749,47 @@ class Simulator:
         self.result.recovery_time += end - self._window_start
         self._recovering = False
 
-    # -- the replay loop ----------------------------------------------------
+    # -- the replay kernel ---------------------------------------------------
 
     def run(self) -> SimulationResult:
         """Replay the whole trace; returns the accumulated result.
 
-        With ``config.consistency`` set the replay honours
-        expiration-based coherence (stale deliveries, validations);
-        otherwise the paper's perfect-coherence fast path runs.  With a
-        profile attached the instrumented (but result-identical) loop
-        variants run instead.
-        """
-        profile = self.profile
-        if profile is None:
-            if self.config.consistency is not None:
-                return self._run_coherent()
-            return self._run_fast()
-        t0 = perf_counter()
-        if self.config.consistency is not None:
-            result = self._run_coherent_profiled()
-        else:
-            result = self._run_fast_profiled()
-        profile.wall_seconds += perf_counter() - t0
-        profile.n_requests += result.n_requests
-        return result
+        Each request runs three phases: a *probe* (browser, proxy, then
+        browser index → remote peer) that decides where it is served
+        and accounts the hit there; one *populate* tail that prices an
+        origin fetch and refills the proxy and/or the requesting
+        browser, keeping the index in sync; and, once after the loop,
+        the flush of the batched counters.
 
-    def _run_fast(self) -> SimulationResult:
-        features = self.features
+        With ``config.consistency`` set the replay honours
+        expiration-based coherence, a branch bound once before the
+        loop.  At the two cache probes it replaces the exact-version
+        test: a copy is served while fresh-by-policy, even if outdated
+        (a *stale delivery*); once expired it is revalidated with the
+        origin (an If-Modified-Since round trip), and a copy found
+        changed is refetched from the origin directly, without trying
+        lower levels.  In the tail it stamps the refilled copies'
+        expiry.  Remote-browser hits always require an exact version
+        match: the §6 watermark check would reject a stale peer copy.
+        """
         config = self.config
+        features = self.features
         result = self.result
         browsers = self.browsers
         proxy = self.proxy
         index = self.index
 
-        # Hoisted feature/config reads — loop-invariant.
+        # Hoisted feature/config reads — loop-invariant.  A crash
+        # empties the proxy in place but replaces the index, so only
+        # the index bindings are refreshed inside the loop.
         tiered = self._tiered
         has_browsers = features.has_browsers
+        has_proxy = proxy is not None
         caches_remote = features.caches_remote_fetches
-        cache_remote_at_proxy = config.cache_remote_hits_at_proxy
+        remote_to_proxy = (
+            caches_remote and has_proxy and config.cache_remote_hits_at_proxy
+        )
+        coherent = config.consistency is not None
 
         # Inlined timing models.  The arithmetic below replicates
         # EthernetModel.transfer_time, WANModel.fetch_time, and
@@ -823,46 +808,41 @@ class Simulator:
         disk_pt = storage.disk_page_time
         BITS = BITS_PER_BYTE
 
-        # Precomputed per-client handles (plain caches only; the tiered
-        # model keeps the uniform _get wrapper).
+        # Cache handles.  Tiered caches go through the uniform _get and
+        # _browser_put helpers; plain caches through per-client bound
+        # methods and entry tables.  LRU probes skip the Cache.get
+        # frame: on the merged-OrderedDict layout a probe is one C-level
+        # dict.get plus, on residency, one move_to_end — the exact
+        # semantics of LRUCache.get.
         self_get = self._get
-        browser_gets = (
-            [b.get for b in browsers] if has_browsers and not tiered else None
-        )
-        # Inlined _browser_put (plain caches): per-client bound `put`s
-        # and direct entry-table views for the membership probes, plus
-        # the index event methods bound once (rebound after a crash).
-        browser_puts = (
-            [b.put for b in browsers] if has_browsers and not tiered else None
-        )
-        browser_entries = (
-            [b._entries for b in browsers] if has_browsers and not tiered else None
-        )
-        # LRU probes bypass the Python-level Cache.get frame entirely:
-        # the merged-OrderedDict layout makes a probe one C-level
-        # dict.get plus (on residency) one C-level move_to_end — the
-        # exact semantics of LRUCache.get.
-        lru_b = browser_entries is not None and config.browser_policy == "lru"
-        lru_p = proxy is not None and not tiered and config.proxy_policy == "lru"
+        browser_put = self._browser_put
+        plain_b = has_browsers and not tiered
+        browser_entries = [b._entries for b in browsers] if plain_b else None
+        browser_gets = [b.get for b in browsers] if plain_b else None
+        browser_puts = [b.put for b in browsers] if plain_b else None
+        lru_b = plain_b and config.browser_policy == "lru"
+        lru_p = has_proxy and not tiered and config.proxy_policy == "lru"
         proxy_entries = proxy._entries if lru_p else None
-        # Where no eviction hook can fire, LRUCache.put itself is
-        # inlined at the populate sites below: browser caches only get
-        # an ``on_evict`` when an index exists (evictions must then be
-        # reported), and the proxy cache never gets one.
+        proxy_get = proxy.get if has_proxy and not tiered else None
+        proxy_put = proxy.put if has_proxy else None
+        # LRUCache.put is inlined at the two populate sites where no
+        # eviction hook can fire: the proxy never gets an ``on_evict``,
+        # and a browser gets one only when an index must hear of its
+        # evictions.  Measured worth on the full NLANR-uc profile (a
+        # shared 2-vCPU host): calling ``put`` there instead makes the
+        # proxy-cache-only and local-browser-cache-only replays ~6%
+        # slower, and the 20-cell fig2 sweep ~1%.
         inline_bput = lru_b and index is None
         index_ttl = config.index_entry_ttl
         record_insert = index.record_insert if index is not None else None
         record_evict = index.record_evict if index is not None else None
-        # Inlined _remote_delivery: the lookup (and its far more common
-        # miss outcome) runs in the loop; only an index hit pays the
+        # The remote leg's lookup — and its far more common miss
+        # outcome — runs in the loop; only an index hit pays the
         # _failover_deliver call.
         index_lookup = self._guarded_lookup_fn(index) if index is not None else None
         index_stale = index.is_stale if index is not None else False
         failover = self._failover_deliver
         truth_holds = self._truth_holds
-        proxy_get = proxy.get if proxy is not None and not tiered else None
-        proxy_put = proxy.put if proxy is not None else None
-        browser_put = self._browser_put
         security = self._security
         sec_transfer = security.transfer_cost if security is not None else None
         recovery = (
@@ -870,6 +850,10 @@ class Simulator:
             if self._fault_schedule is not None or self._checkpointer is not None
             else None
         )
+        monitor = self._monitor
+        PROXY = HitLocation.PROXY
+        REMOTE = HitLocation.REMOTE_BROWSER
+        ORIGIN = HitLocation.ORIGIN
 
         # Batched counters: accumulated locally, flushed into the result
         # once after the loop.  Each target field is written *only* by
@@ -890,20 +874,26 @@ class Simulator:
         peak_entries = result.index_peak_entries
         peak_footprint = result.index_peak_footprint_bytes
 
-        monitor = self._monitor
+        # The storage tier a hit was served from: only tiered caches
+        # report one, so plain-cache probes leave it None throughout.
+        memory = None
+
+        # Coherence state: the first time each version was observed
+        # stands in for its modification time.
+        last_modified: dict[int, float] = {}
+        seen_version: dict[int, int] = {}
+        last_mod = 0.0
+        if coherent:
+            validate, stamp = self._coherence_steps()
 
         for t, c, d, s, v in self.trace.iter_rows():
             if recovery is not None and recovery(t):
-                # a crash replaced the proxy/index objects
-                proxy = self.proxy
+                # a crash replaced the index
                 index = self.index
-                proxy_get = proxy.get if proxy is not None and not tiered else None
-                proxy_put = proxy.put if proxy is not None else None
                 record_insert = index.record_insert if index is not None else None
                 record_evict = index.record_evict if index is not None else None
                 index_lookup = self._guarded_lookup_fn(index) if index is not None else None
                 index_stale = index.is_stale if index is not None else False
-                proxy_entries = proxy._entries if lru_p else None
             if monitor is not None:
                 # Conservation is checked from the loop's batched local
                 # tallies (the result's per-location counters flush
@@ -911,30 +901,33 @@ class Simulator:
                 monitor.tick_fast(
                     result, n_requests, lb_hits + px_hits + rb_hits, og_misses
                 )
+            n_requests += 1
+            total_bytes += s
+            if coherent:
+                sv = seen_version.get(d)
+                if sv is None or v > sv:
+                    seen_version[d] = v
+                    last_modified[d] = t
+                last_mod = last_modified[d]
+            # Where the request is served: None while probing; a
+            # coherent validation that finds a copy changed jumps
+            # straight to ORIGIN.
+            at = None
 
-            # 1. local browser cache
+            # -- probe ----------------------------------------------------
+            # 1. local browser cache (a hit needs no populate)
             if has_browsers:
                 if lru_b:
                     bce = browser_entries[c]
                     entry = bce.get(d)
                     if entry is not None:
                         bce.move_to_end(d)
-                        if entry.version == v:
-                            n_requests += 1
-                            total_bytes += s
-                            lb_hits += 1
-                            lb_bytes += s
-                            local_hit_time += -(-s // disk_page) * disk_pt
-                            continue
+                elif tiered:
+                    entry, memory = self_get(browsers[c], d)
                 else:
-                    if tiered:
-                        entry, memory = self_get(browsers[c], d)
-                    else:
-                        entry = browser_gets[c](d)
-                        memory = None
-                    if entry is not None and entry.version == v:
-                        n_requests += 1
-                        total_bytes += s
+                    entry = browser_gets[c](d)
+                if entry is not None:
+                    if validate(entry, v, t, last_mod, s) if coherent else entry.version == v:
                         lb_hits += 1
                         lb_bytes += s
                         if memory is None:
@@ -948,75 +941,21 @@ class Simulator:
                             lb_disk_bytes += s
                             local_hit_time += -(-s // disk_page) * disk_pt
                         continue
+                    if coherent:
+                        at = ORIGIN
 
             # 2. proxy cache
-            if proxy is not None:
+            if has_proxy and at is None:
                 if lru_p:
                     entry = proxy_entries.get(d)
                     if entry is not None:
                         proxy_entries.move_to_end(d)
-                        if entry.version == v:
-                            n_requests += 1
-                            total_bytes += s
-                            px_hits += 1
-                            px_bytes += s
-                            proxy_hit_time += -(-s // disk_page) * disk_pt + (
-                                lan_setup + s * BITS / lan_bw
-                            )
-                            if has_browsers:
-                                # inlined _browser_put
-                                if inline_bput:
-                                    # inlined LRUCache.put (no evict hook)
-                                    bcache = browsers[c]
-                                    bce = browser_entries[c]
-                                    old = bce.get(d)
-                                    if old is not None:
-                                        bused = bcache.used + s - old.size
-                                        old.size = s
-                                        old.version = v
-                                        bce.move_to_end(d)
-                                    elif s <= bcache.capacity:
-                                        bce[d] = CacheEntry(d, s, v)
-                                        bused = bcache.used + s
-                                    else:
-                                        bused = -1  # refused: no change
-                                    if bused >= 0:
-                                        cap = bcache.capacity
-                                        if bused <= cap:
-                                            bcache.used = bused
-                                        else:
-                                            while bused > cap:
-                                                victim = None
-                                                for k in bce:
-                                                    if k != d:
-                                                        victim = k
-                                                        break
-                                                if victim is None:
-                                                    bused -= bce.pop(d).size
-                                                    break
-                                                bused -= bce.pop(victim).size
-                                            bcache.used = bused
-                                elif record_insert is None:
-                                    browser_puts[c](d, s, v)
-                                else:
-                                    bce = browser_entries[c]
-                                    already = d in bce
-                                    self._now = t
-                                    browser_puts[c](d, s, v)
-                                    if d in bce:
-                                        record_insert(c, d, v, s, t, index_ttl, already)
-                                    elif already:
-                                        record_evict(c, d, t)
-                            continue
+                elif tiered:
+                    entry, memory = self_get(proxy, d)
                 else:
-                    if tiered:
-                        entry, memory = self_get(proxy, d)
-                    else:
-                        entry = proxy_get(d)
-                        memory = None
-                    if entry is not None and entry.version == v:
-                        n_requests += 1
-                        total_bytes += s
+                    entry = proxy_get(d)
+                if entry is not None:
+                    if validate(entry, v, t, last_mod, s) if coherent else entry.version == v:
                         px_hits += 1
                         px_bytes += s
                         if memory is None:
@@ -1030,197 +969,149 @@ class Simulator:
                             px_disk_bytes += s
                             stime = -(-s // disk_page) * disk_pt
                         proxy_hit_time += stime + (lan_setup + s * BITS / lan_bw)
-                        if has_browsers:
-                            # inlined _browser_put
-                            if inline_bput:
-                                # inlined LRUCache.put (no evict hook)
-                                bcache = browsers[c]
-                                bce = browser_entries[c]
-                                old = bce.get(d)
-                                if old is not None:
-                                    bused = bcache.used + s - old.size
-                                    old.size = s
-                                    old.version = v
-                                    bce.move_to_end(d)
-                                elif s <= bcache.capacity:
-                                    bce[d] = CacheEntry(d, s, v)
-                                    bused = bcache.used + s
-                                else:
-                                    bused = -1  # refused: no change
-                                if bused >= 0:
-                                    cap = bcache.capacity
-                                    if bused <= cap:
-                                        bcache.used = bused
-                                    else:
-                                        while bused > cap:
-                                            victim = None
-                                            for k in bce:
-                                                if k != d:
-                                                    victim = k
-                                                    break
-                                            if victim is None:
-                                                bused -= bce.pop(d).size
-                                                break
-                                            bused -= bce.pop(victim).size
-                                        bcache.used = bused
-                            elif browser_puts is None:
-                                browser_put(c, d, s, v, t)
-                            elif record_insert is None:
-                                browser_puts[c](d, s, v)
-                            else:
-                                bce = browser_entries[c]
-                                already = d in bce
-                                self._now = t
-                                browser_puts[c](d, s, v)
-                                if d in bce:
-                                    record_insert(c, d, v, s, t, index_ttl, already)
-                                elif already:
-                                    record_evict(c, d, t)
-                        continue
+                        at = PROXY
+                    elif coherent:
+                        at = ORIGIN
 
-            # 3. browser index -> remote browser cache (with failover);
-            # inlined _remote_delivery lookup-miss fast path
-            if index is not None:
+            # 3. browser index -> remote browser cache (with failover)
+            if index is not None and at is None:
                 hit = index_lookup(d, c, t, v)
                 if hit is None:
+                    # Was this a lost opportunity?  Check the truth.
                     if recovery is not None and self._recovering:
                         if truth_holds(d, v, c):
                             result.hits_lost_to_recovery += 1
                     elif index_stale and truth_holds(d, v, c):
                         index.record_false_miss()
-                    remote_served = False
                 else:
-                    remote_served, memory = failover(hit, c, d, s, v, t)
-                if remote_served:
-                    n_requests += 1
-                    total_bytes += s
-                    rb_hits += 1
-                    rb_bytes += s
-                    if memory is None:
-                        remote_storage_time += -(-s // disk_page) * disk_pt
-                    elif memory:
-                        rb_mem_hits += 1
-                        rb_mem_bytes += s
-                        remote_storage_time += -(-s // mem_block) * mem_bt
-                    else:
-                        rb_disk_hits += 1
-                        rb_disk_bytes += s
-                        remote_storage_time += -(-s // disk_page) * disk_pt
-                    if sec_transfer is not None:
-                        security_time += sec_transfer(s)
-                    if caches_remote:
-                        # inlined _browser_put
-                        if browser_puts is None:
-                            browser_put(c, d, s, v, t)
+                    served, memory = failover(hit, c, d, s, v, t)
+                    if served:
+                        rb_hits += 1
+                        rb_bytes += s
+                        if memory is None:
+                            remote_storage_time += -(-s // disk_page) * disk_pt
+                        elif memory:
+                            rb_mem_hits += 1
+                            rb_mem_bytes += s
+                            remote_storage_time += -(-s // mem_block) * mem_bt
                         else:
-                            bce = browser_entries[c]
-                            already = d in bce
-                            self._now = t
-                            browser_puts[c](d, s, v)
-                            if d in bce:
-                                record_insert(c, d, v, s, t, index_ttl, already)
-                            elif already:
-                                record_evict(c, d, t)
-                        if cache_remote_at_proxy and proxy_put is not None:
-                            proxy_put(d, s, v)
-                    n = index.n_entries
-                    if n > peak_entries:
-                        peak_entries = n
-                        peak_footprint = index.footprint_bytes()
-                    continue
+                            rb_disk_hits += 1
+                            rb_disk_bytes += s
+                            remote_storage_time += -(-s // disk_page) * disk_pt
+                        if sec_transfer is not None:
+                            security_time += sec_transfer(s)
+                        at = REMOTE
 
-            # 4. origin server
-            n_requests += 1
-            total_bytes += s
-            og_misses += 1
-            og_bytes += s
-            origin_miss_time += (wan_setup + s * BITS / wan_bw) + (
-                lan_setup + s * BITS / lan_bw
-            )
-            if lru_p:
-                # inlined LRUCache.put (proxy caches have no evict hook)
-                old = proxy_entries.get(d)
-                if old is not None:
-                    pused = proxy.used + s - old.size
-                    old.size = s
-                    old.version = v
-                    proxy_entries.move_to_end(d)
-                elif s <= proxy.capacity:
-                    proxy_entries[d] = CacheEntry(d, s, v)
-                    pused = proxy.used + s
-                else:
-                    pused = -1  # refused: no change
-                if pused >= 0:
-                    cap = proxy.capacity
-                    if pused <= cap:
-                        proxy.used = pused
+            # -- populate -------------------------------------------------
+            if at is PROXY:
+                # entry.version is v unless a coherent proxy served a
+                # stale copy, which the browser then holds too.
+                to_proxy = False
+                to_browser = has_browsers
+                bv = entry.version
+            elif at is REMOTE:
+                to_proxy = remote_to_proxy
+                to_browser = caches_remote
+                bv = v
+            else:
+                # 4. origin server
+                og_misses += 1
+                og_bytes += s
+                origin_miss_time += (wan_setup + s * BITS / wan_bw) + (
+                    lan_setup + s * BITS / lan_bw
+                )
+                to_proxy = has_proxy
+                to_browser = has_browsers
+                bv = v
+            if to_proxy:
+                if lru_p:
+                    # inlined LRUCache.put (proxy caches have no evict hook)
+                    old = proxy_entries.get(d)
+                    if old is not None:
+                        used = proxy.used + s - old.size
+                        old.size = s
+                        old.version = v
+                        proxy_entries.move_to_end(d)
+                    elif s <= proxy.capacity:
+                        proxy_entries[d] = CacheEntry(d, s, v)
+                        used = proxy.used + s
                     else:
-                        while pused > cap:
-                            victim = None
-                            for k in proxy_entries:
-                                if k != d:
-                                    victim = k
+                        used = -1  # refused: no change
+                    if used >= 0:
+                        cap = proxy.capacity
+                        if used <= cap:
+                            proxy.used = used
+                        else:
+                            while used > cap:
+                                victim = None
+                                for k in proxy_entries:
+                                    if k != d:
+                                        victim = k
+                                        break
+                                if victim is None:
+                                    used -= proxy_entries.pop(d).size
                                     break
-                            if victim is None:
-                                pused -= proxy_entries.pop(d).size
-                                break
-                            pused -= proxy_entries.pop(victim).size
-                        proxy.used = pused
-            elif proxy_put is not None:
-                proxy_put(d, s, v)
-            if has_browsers:
-                # inlined _browser_put
+                                used -= proxy_entries.pop(victim).size
+                            proxy.used = used
+                else:
+                    proxy_put(d, s, v)
+                if coherent:
+                    stamp(proxy, d, t, last_mod)
+            if to_browser:
                 if inline_bput:
-                    # inlined LRUCache.put (no evict hook)
+                    # inlined LRUCache.put (no index, so no evict hook)
                     bcache = browsers[c]
                     bce = browser_entries[c]
                     old = bce.get(d)
                     if old is not None:
-                        bused = bcache.used + s - old.size
+                        used = bcache.used + s - old.size
                         old.size = s
-                        old.version = v
+                        old.version = bv
                         bce.move_to_end(d)
                     elif s <= bcache.capacity:
-                        bce[d] = CacheEntry(d, s, v)
-                        bused = bcache.used + s
+                        bce[d] = CacheEntry(d, s, bv)
+                        used = bcache.used + s
                     else:
-                        bused = -1  # refused: no change
-                    if bused >= 0:
+                        used = -1  # refused: no change
+                    if used >= 0:
                         cap = bcache.capacity
-                        if bused <= cap:
-                            bcache.used = bused
+                        if used <= cap:
+                            bcache.used = used
                         else:
-                            while bused > cap:
+                            while used > cap:
                                 victim = None
                                 for k in bce:
                                     if k != d:
                                         victim = k
                                         break
                                 if victim is None:
-                                    bused -= bce.pop(d).size
+                                    used -= bce.pop(d).size
                                     break
-                                bused -= bce.pop(victim).size
-                            bcache.used = bused
+                                used -= bce.pop(victim).size
+                            bcache.used = used
                 elif browser_puts is None:
-                    browser_put(c, d, s, v, t)
+                    browser_put(c, d, s, bv, t)
                 elif record_insert is None:
-                    browser_puts[c](d, s, v)
+                    browser_puts[c](d, s, bv)
                 else:
+                    # inlined _browser_put: keep the index in sync
                     bce = browser_entries[c]
                     already = d in bce
                     self._now = t
-                    browser_puts[c](d, s, v)
+                    browser_puts[c](d, s, bv)
                     if d in bce:
-                        record_insert(c, d, v, s, t, index_ttl, already)
+                        record_insert(c, d, bv, s, t, index_ttl, already)
                     elif already:
                         record_evict(c, d, t)
-            if index is not None:
+                if coherent:
+                    stamp(browsers[c], d, t, last_mod)
+            if index is not None and at is not PROXY:
                 n = index.n_entries
                 if n > peak_entries:
                     peak_entries = n
                     peak_footprint = index.footprint_bytes()
 
-        # -- flush the batched counters --------------------------------
+        # -- flush the batched counters ------------------------------------
         overhead = result.overhead
         result.n_requests += n_requests
         result.total_bytes += total_bytes
@@ -1232,21 +1123,21 @@ class Simulator:
         stats.memory_hit_bytes += lb_mem_bytes
         stats.disk_hits += lb_disk_hits
         stats.disk_hit_bytes += lb_disk_bytes
-        stats = by_location[HitLocation.PROXY]
+        stats = by_location[PROXY]
         stats.hits += px_hits
         stats.hit_bytes += px_bytes
         stats.memory_hits += px_mem_hits
         stats.memory_hit_bytes += px_mem_bytes
         stats.disk_hits += px_disk_hits
         stats.disk_hit_bytes += px_disk_bytes
-        stats = by_location[HitLocation.REMOTE_BROWSER]
+        stats = by_location[REMOTE]
         stats.hits += rb_hits
         stats.hit_bytes += rb_bytes
         stats.memory_hits += rb_mem_hits
         stats.memory_hit_bytes += rb_mem_bytes
         stats.disk_hits += rb_disk_hits
         stats.disk_hit_bytes += rb_disk_bytes
-        stats = by_location[HitLocation.ORIGIN]
+        stats = by_location[ORIGIN]
         stats.misses += og_misses
         stats.miss_bytes += og_bytes
         overhead.local_hit_time += local_hit_time
@@ -1259,598 +1150,44 @@ class Simulator:
 
         return self._finalise()
 
-    # -- coherent replay (expiration-based consistency) ----------------------
+    def _coherence_steps(self):
+        """The kernel's two coherence steps for ``config.consistency``.
 
-    def _run_coherent(self) -> SimulationResult:
-        """Replay honouring the configured consistency policy.
-
-        Browser and proxy copies are served without question while
-        fresh-by-policy (even if actually outdated: a *stale
-        delivery*); once expired they are revalidated against the
-        origin (an If-Modified-Since round trip).  A validation that
-        finds the document changed receives the new body from the
-        origin directly — it does not retry lower cache levels.
-        Remote-browser hits still require an exact version match: the
-        §6 watermark verification would reject a stale peer copy.
+        ``validate(entry, v, t, last_mod, s)`` decides a cache probe:
+        True serves the copy (fresh-by-policy, or revalidated
+        unchanged), False refetches it from the origin.  ``stamp(cache,
+        d, t, last_mod)`` dates a refilled copy's expiry.  Built as
+        closures here, not in :meth:`run`, so the kernel's own locals
+        stay plain fast locals.  validation_time and the consistency
+        counters are written directly: only ``validate`` touches them,
+        so request order is preserved.
         """
-        features = self.features
-        config = self.config
-        result = self.result
-        overhead = result.overhead
-        cstats = result.consistency_stats
-        browsers = self.browsers
-        proxy = self.proxy
-        index = self.index
-        policy = config.consistency
+        expires_at = self.config.consistency.expires_at
+        wan_setup = self.config.wan.connection_setup
+        overhead = self.result.overhead
+        cstats = self.result.consistency_stats
 
-        tiered = self._tiered
-        has_browsers = features.has_browsers
-        caches_remote = features.caches_remote_fetches
-        cache_remote_at_proxy = config.cache_remote_hits_at_proxy
-
-        lan = config.lan
-        wan = config.wan
-        storage = config.storage
-        lan_setup = lan.connection_setup
-        lan_bw = lan.bandwidth_bps
-        wan_setup = wan.connection_setup
-        wan_bw = wan.bandwidth_bps
-        wan_conn = wan.connection_setup
-        mem_block = storage.memory_block_bytes
-        mem_bt = storage.memory_block_time
-        disk_page = storage.disk_page_bytes
-        disk_pt = storage.disk_page_time
-        BITS = BITS_PER_BYTE
-
-        self_get = self._get
-        browser_gets = (
-            [b.get for b in browsers] if has_browsers and not tiered else None
-        )
-        # Inlined _browser_put handles (see _run_fast).
-        browser_puts = (
-            [b.put for b in browsers] if has_browsers and not tiered else None
-        )
-        browser_entries = (
-            [b._entries for b in browsers] if has_browsers and not tiered else None
-        )
-        # Direct C-level LRU probes (see _run_fast).
-        lru_b = browser_entries is not None and config.browser_policy == "lru"
-        lru_p = proxy is not None and not tiered and config.proxy_policy == "lru"
-        proxy_entries = proxy._entries if lru_p else None
-        index_ttl = config.index_entry_ttl
-        record_insert = index.record_insert if index is not None else None
-        record_evict = index.record_evict if index is not None else None
-        # Inlined _remote_delivery handles (see _run_fast).
-        index_lookup = self._guarded_lookup_fn(index) if index is not None else None
-        index_stale = index.is_stale if index is not None else False
-        failover = self._failover_deliver
-        truth_holds = self._truth_holds
-        proxy_get = proxy.get if proxy is not None and not tiered else None
-        proxy_put = proxy.put if proxy is not None else None
-        browser_put = self._browser_put
-        security = self._security
-        sec_transfer = security.transfer_cost if security is not None else None
-        recovery = (
-            self._advance_recovery
-            if self._fault_schedule is not None or self._checkpointer is not None
-            else None
-        )
-        expires_at = policy.expires_at
-
-        # Batched counters (same flush-once discipline as _run_fast;
-        # validation_time and the consistency counters stay direct —
-        # they are exclusively written by coherence_action, so order is
-        # preserved either way and the closure stays simple).
-        n_requests = 0
-        total_bytes = 0
-        lb_hits = lb_bytes = lb_mem_hits = lb_mem_bytes = lb_disk_hits = lb_disk_bytes = 0
-        px_hits = px_bytes = px_mem_hits = px_mem_bytes = px_disk_hits = px_disk_bytes = 0
-        rb_hits = rb_bytes = rb_mem_hits = rb_mem_bytes = rb_disk_hits = rb_disk_bytes = 0
-        og_misses = og_bytes = 0
-        local_hit_time = 0.0
-        proxy_hit_time = 0.0
-        origin_miss_time = 0.0
-        remote_storage_time = 0.0
-        security_time = 0.0
-        peak_entries = result.index_peak_entries
-        peak_footprint = result.index_peak_footprint_bytes
-
-        #: first time each version was observed ~ modification time.
-        last_modified: dict[int, float] = {}
-        seen_version: dict[int, int] = {}
-
-        def coherence_action(entry, v: int, t: float, last_mod: float) -> str:
+        def validate(entry, v: int, t: float, last_mod: float, s: int) -> bool:
             if t <= entry.expires_at:
-                return "serve"
+                if entry.version != v:
+                    cstats.stale_deliveries += 1
+                    cstats.stale_bytes += s
+                return True
             cstats.validations += 1
-            overhead.validation_time += wan_conn
+            overhead.validation_time += wan_setup
             if entry.version == v:
                 cstats.validated_hits += 1
                 entry.expires_at = expires_at(t, last_mod)
-                return "validated"
+                return True
             cstats.validation_misses += 1
-            return "changed"
+            return False
 
         def stamp(cache, d: int, t: float, last_mod: float) -> None:
             entry = cache.peek(d)
             if entry is not None:
                 entry.expires_at = expires_at(t, last_mod)
 
-        monitor = self._monitor
-
-        for t, c, d, s, v in self.trace.iter_rows():
-            if recovery is not None and recovery(t):
-                # a crash replaced the proxy/index objects
-                proxy = self.proxy
-                index = self.index
-                proxy_get = proxy.get if proxy is not None and not tiered else None
-                proxy_put = proxy.put if proxy is not None else None
-                record_insert = index.record_insert if index is not None else None
-                record_evict = index.record_evict if index is not None else None
-                index_lookup = self._guarded_lookup_fn(index) if index is not None else None
-                index_stale = index.is_stale if index is not None else False
-                proxy_entries = proxy._entries if lru_p else None
-            if monitor is not None:
-                # Same batched-locals conservation check as _run_fast.
-                monitor.tick_fast(
-                    result, n_requests, lb_hits + px_hits + rb_hits, og_misses
-                )
-
-            sv = seen_version.get(d)
-            if sv is None or v > sv:
-                seen_version[d] = v
-                last_modified[d] = t
-            last_mod = last_modified[d]
-            served = False
-            go_origin = False
-
-            # 1. local browser cache
-            if has_browsers:
-                if lru_b:
-                    bce = browser_entries[c]
-                    entry = bce.get(d)
-                    if entry is not None:
-                        bce.move_to_end(d)
-                    memory = None
-                elif tiered:
-                    entry, memory = self_get(browsers[c], d)
-                else:
-                    entry = browser_gets[c](d)
-                    memory = None
-                if entry is not None:
-                    action = coherence_action(entry, v, t, last_mod)
-                    if action == "serve" or action == "validated":
-                        if action == "serve" and entry.version != v:
-                            cstats.stale_deliveries += 1
-                            cstats.stale_bytes += s
-                        n_requests += 1
-                        total_bytes += s
-                        lb_hits += 1
-                        lb_bytes += s
-                        if memory is None:
-                            local_hit_time += -(-s // disk_page) * disk_pt
-                        elif memory:
-                            lb_mem_hits += 1
-                            lb_mem_bytes += s
-                            local_hit_time += -(-s // mem_block) * mem_bt
-                        else:
-                            lb_disk_hits += 1
-                            lb_disk_bytes += s
-                            local_hit_time += -(-s // disk_page) * disk_pt
-                        served = True
-                    elif action == "changed":
-                        go_origin = True
-
-            # 2. proxy cache
-            if not served and not go_origin and proxy is not None:
-                if lru_p:
-                    entry = proxy_entries.get(d)
-                    if entry is not None:
-                        proxy_entries.move_to_end(d)
-                    memory = None
-                elif tiered:
-                    entry, memory = self_get(proxy, d)
-                else:
-                    entry = proxy_get(d)
-                    memory = None
-                if entry is not None:
-                    action = coherence_action(entry, v, t, last_mod)
-                    if action == "serve" or action == "validated":
-                        if action == "serve" and entry.version != v:
-                            cstats.stale_deliveries += 1
-                            cstats.stale_bytes += s
-                        n_requests += 1
-                        total_bytes += s
-                        px_hits += 1
-                        px_bytes += s
-                        if memory is None:
-                            stime = -(-s // disk_page) * disk_pt
-                        elif memory:
-                            px_mem_hits += 1
-                            px_mem_bytes += s
-                            stime = -(-s // mem_block) * mem_bt
-                        else:
-                            px_disk_hits += 1
-                            px_disk_bytes += s
-                            stime = -(-s // disk_page) * disk_pt
-                        proxy_hit_time += stime + (lan_setup + s * BITS / lan_bw)
-                        if has_browsers:
-                            ev = entry.version
-                            # inlined _browser_put
-                            if browser_puts is None:
-                                browser_put(c, d, s, ev, t)
-                            elif record_insert is None:
-                                browser_puts[c](d, s, ev)
-                            else:
-                                bce = browser_entries[c]
-                                already = d in bce
-                                self._now = t
-                                browser_puts[c](d, s, ev)
-                                if d in bce:
-                                    record_insert(c, d, ev, s, t, index_ttl, already)
-                                elif already:
-                                    record_evict(c, d, t)
-                            stamp(browsers[c], d, t, last_mod)
-                        served = True
-                    elif action == "changed":
-                        go_origin = True
-
-            # 3. browser index -> remote browser cache (exact match only,
-            #    with failover); inlined _remote_delivery fast path
-            if not served and not go_origin and index is not None:
-                hit = index_lookup(d, c, t, v)
-                if hit is None:
-                    if recovery is not None and self._recovering:
-                        if truth_holds(d, v, c):
-                            result.hits_lost_to_recovery += 1
-                    elif index_stale and truth_holds(d, v, c):
-                        index.record_false_miss()
-                    remote_served = False
-                else:
-                    remote_served, memory = failover(hit, c, d, s, v, t)
-                if remote_served:
-                    n_requests += 1
-                    total_bytes += s
-                    rb_hits += 1
-                    rb_bytes += s
-                    if memory is None:
-                        remote_storage_time += -(-s // disk_page) * disk_pt
-                    elif memory:
-                        rb_mem_hits += 1
-                        rb_mem_bytes += s
-                        remote_storage_time += -(-s // mem_block) * mem_bt
-                    else:
-                        rb_disk_hits += 1
-                        rb_disk_bytes += s
-                        remote_storage_time += -(-s // disk_page) * disk_pt
-                    if sec_transfer is not None:
-                        security_time += sec_transfer(s)
-                    if caches_remote:
-                        # inlined _browser_put
-                        if browser_puts is None:
-                            browser_put(c, d, s, v, t)
-                        else:
-                            bce = browser_entries[c]
-                            already = d in bce
-                            self._now = t
-                            browser_puts[c](d, s, v)
-                            if d in bce:
-                                record_insert(c, d, v, s, t, index_ttl, already)
-                            elif already:
-                                record_evict(c, d, t)
-                        stamp(browsers[c], d, t, last_mod)
-                        if cache_remote_at_proxy and proxy_put is not None:
-                            proxy_put(d, s, v)
-                            stamp(proxy, d, t, last_mod)
-                    served = True
-                    n = index.n_entries
-                    if n > peak_entries:
-                        peak_entries = n
-                        peak_footprint = index.footprint_bytes()
-
-            # 4. origin server
-            if not served:
-                n_requests += 1
-                total_bytes += s
-                og_misses += 1
-                og_bytes += s
-                origin_miss_time += (wan_setup + s * BITS / wan_bw) + (
-                    lan_setup + s * BITS / lan_bw
-                )
-                if proxy_put is not None:
-                    proxy_put(d, s, v)
-                    stamp(proxy, d, t, last_mod)
-                if has_browsers:
-                    # inlined _browser_put
-                    if browser_puts is None:
-                        browser_put(c, d, s, v, t)
-                    elif record_insert is None:
-                        browser_puts[c](d, s, v)
-                    else:
-                        bce = browser_entries[c]
-                        already = d in bce
-                        self._now = t
-                        browser_puts[c](d, s, v)
-                        if d in bce:
-                            record_insert(c, d, v, s, t, index_ttl, already)
-                        elif already:
-                            record_evict(c, d, t)
-                    stamp(browsers[c], d, t, last_mod)
-                if index is not None:
-                    n = index.n_entries
-                    if n > peak_entries:
-                        peak_entries = n
-                        peak_footprint = index.footprint_bytes()
-
-        # -- flush the batched counters --------------------------------
-        result.n_requests += n_requests
-        result.total_bytes += total_bytes
-        by_location = result.by_location
-        stats = by_location[HitLocation.LOCAL_BROWSER]
-        stats.hits += lb_hits
-        stats.hit_bytes += lb_bytes
-        stats.memory_hits += lb_mem_hits
-        stats.memory_hit_bytes += lb_mem_bytes
-        stats.disk_hits += lb_disk_hits
-        stats.disk_hit_bytes += lb_disk_bytes
-        stats = by_location[HitLocation.PROXY]
-        stats.hits += px_hits
-        stats.hit_bytes += px_bytes
-        stats.memory_hits += px_mem_hits
-        stats.memory_hit_bytes += px_mem_bytes
-        stats.disk_hits += px_disk_hits
-        stats.disk_hit_bytes += px_disk_bytes
-        stats = by_location[HitLocation.REMOTE_BROWSER]
-        stats.hits += rb_hits
-        stats.hit_bytes += rb_bytes
-        stats.memory_hits += rb_mem_hits
-        stats.memory_hit_bytes += rb_mem_bytes
-        stats.disk_hits += rb_disk_hits
-        stats.disk_hit_bytes += rb_disk_bytes
-        stats = by_location[HitLocation.ORIGIN]
-        stats.misses += og_misses
-        stats.miss_bytes += og_bytes
-        overhead.local_hit_time += local_hit_time
-        overhead.proxy_hit_time += proxy_hit_time
-        overhead.origin_miss_time += origin_miss_time
-        overhead.remote_storage_time += remote_storage_time
-        overhead.security_time += security_time
-        result.index_peak_entries = peak_entries
-        result.index_peak_footprint_bytes = peak_footprint
-
-        return self._finalise()
-
-    # -- instrumented loop variants ------------------------------------------
-
-    def _run_fast_profiled(self) -> SimulationResult:
-        """The fast loop with per-phase timers (results bit-identical).
-
-        Written in the straight-line style of the reference engine —
-        direct counter updates in request order produce the same float
-        accumulation sequence as the batched fast path, so only the
-        wall-clock observation differs.
-        """
-        features = self.features
-        config = self.config
-        result = self.result
-        overhead = result.overhead
-        browsers = self.browsers
-        proxy = self.proxy
-        index = self.index
-        lan = config.lan
-        wan = config.wan
-        prof = self.profile
-        pc = perf_counter
-        security = self._security
-        recovery = (
-            self._advance_recovery
-            if self._fault_schedule is not None or self._checkpointer is not None
-            else None
-        )
-
-        for t, c, d, s, v in self.trace.iter_rows():
-            if recovery is not None:
-                t0 = pc()
-                crashed = recovery(t)
-                prof.add("recovery", pc() - t0)
-                if crashed:
-                    proxy = self.proxy
-                    index = self.index
-
-            # 1. local browser cache
-            if features.has_browsers:
-                t0 = pc()
-                entry, memory = self._get(browsers[c], d)
-                hit = entry is not None and entry.version == v
-                if hit:
-                    result.record(HitLocation.LOCAL_BROWSER, s, memory)
-                    overhead.local_hit_time += self._storage_time(s, memory)
-                prof.add("browser_probe", pc() - t0)
-                if hit:
-                    continue
-
-            # 2. proxy cache
-            if proxy is not None:
-                t0 = pc()
-                entry, memory = self._get(proxy, d)
-                hit = entry is not None and entry.version == v
-                if hit:
-                    result.record(HitLocation.PROXY, s, memory)
-                    overhead.proxy_hit_time += self._storage_time(
-                        s, memory
-                    ) + lan.transfer_time(s)
-                    if features.has_browsers:
-                        self._browser_put(c, d, s, v, t)
-                prof.add("proxy_probe", pc() - t0)
-                if hit:
-                    continue
-
-            # 3. browser index -> remote browser cache (with failover)
-            if index is not None:
-                t0 = pc()
-                remote_served, memory = self._remote_delivery(c, d, s, v, t, prof=prof)
-                if remote_served:
-                    result.record(HitLocation.REMOTE_BROWSER, s, memory)
-                    overhead.remote_storage_time += self._storage_time(s, memory)
-                    if security is not None:
-                        overhead.security_time += security.transfer_cost(s)
-                    if features.caches_remote_fetches:
-                        self._browser_put(c, d, s, v, t)
-                        if config.cache_remote_hits_at_proxy and proxy is not None:
-                            proxy.put(d, s, v)
-                    self._track_index_peak()
-                prof.add("remote_delivery", pc() - t0)
-                if remote_served:
-                    continue
-
-            # 4. origin server
-            t0 = pc()
-            result.record(HitLocation.ORIGIN, s)
-            overhead.origin_miss_time += wan.fetch_time(s) + lan.transfer_time(s)
-            if proxy is not None:
-                proxy.put(d, s, v)
-            if features.has_browsers:
-                self._browser_put(c, d, s, v, t)
-            if index is not None:
-                self._track_index_peak()
-            prof.add("origin_fetch", pc() - t0)
-
-        return self._finalise()
-
-    def _run_coherent_profiled(self) -> SimulationResult:
-        """The coherent loop with per-phase timers (results identical)."""
-        features = self.features
-        config = self.config
-        result = self.result
-        overhead = result.overhead
-        cstats = result.consistency_stats
-        browsers = self.browsers
-        proxy = self.proxy
-        index = self.index
-        lan = config.lan
-        wan = config.wan
-        policy = config.consistency
-        prof = self.profile
-        pc = perf_counter
-        security = self._security
-        recovery = (
-            self._advance_recovery
-            if self._fault_schedule is not None or self._checkpointer is not None
-            else None
-        )
-
-        last_modified: dict[int, float] = {}
-        seen_version: dict[int, int] = {}
-
-        def coherence_action(entry, v: int, t: float, last_mod: float) -> str:
-            if t <= entry.expires_at:
-                return "serve"
-            cstats.validations += 1
-            overhead.validation_time += wan.connection_setup
-            if entry.version == v:
-                cstats.validated_hits += 1
-                entry.expires_at = policy.expires_at(t, last_mod)
-                return "validated"
-            cstats.validation_misses += 1
-            return "changed"
-
-        def stamp(cache, d: int, t: float, last_mod: float) -> None:
-            entry = cache.peek(d)
-            if entry is not None:
-                entry.expires_at = policy.expires_at(t, last_mod)
-
-        for t, c, d, s, v in self.trace.iter_rows():
-            if recovery is not None:
-                t0 = pc()
-                crashed = recovery(t)
-                prof.add("recovery", pc() - t0)
-                if crashed:
-                    proxy = self.proxy
-                    index = self.index
-
-            sv = seen_version.get(d)
-            if sv is None or v > sv:
-                seen_version[d] = v
-                last_modified[d] = t
-            last_mod = last_modified[d]
-            served = False
-            go_origin = False
-
-            # 1. local browser cache
-            if features.has_browsers:
-                t0 = pc()
-                entry, memory = self._get(browsers[c], d)
-                if entry is not None:
-                    action = coherence_action(entry, v, t, last_mod)
-                    if action in ("serve", "validated"):
-                        if action == "serve" and entry.version != v:
-                            cstats.stale_deliveries += 1
-                            cstats.stale_bytes += s
-                        result.record(HitLocation.LOCAL_BROWSER, s, memory)
-                        overhead.local_hit_time += self._storage_time(s, memory)
-                        served = True
-                    elif action == "changed":
-                        go_origin = True
-                prof.add("browser_probe", pc() - t0)
-
-            # 2. proxy cache
-            if not served and not go_origin and proxy is not None:
-                t0 = pc()
-                entry, memory = self._get(proxy, d)
-                if entry is not None:
-                    action = coherence_action(entry, v, t, last_mod)
-                    if action in ("serve", "validated"):
-                        if action == "serve" and entry.version != v:
-                            cstats.stale_deliveries += 1
-                            cstats.stale_bytes += s
-                        result.record(HitLocation.PROXY, s, memory)
-                        overhead.proxy_hit_time += self._storage_time(
-                            s, memory
-                        ) + lan.transfer_time(s)
-                        if features.has_browsers:
-                            self._browser_put(c, d, s, entry.version, t)
-                            stamp(browsers[c], d, t, last_mod)
-                        served = True
-                    elif action == "changed":
-                        go_origin = True
-                prof.add("proxy_probe", pc() - t0)
-
-            # 3. browser index -> remote browser cache (exact match only,
-            #    with failover)
-            if not served and not go_origin and index is not None:
-                t0 = pc()
-                remote_served, memory = self._remote_delivery(c, d, s, v, t, prof=prof)
-                if remote_served:
-                    result.record(HitLocation.REMOTE_BROWSER, s, memory)
-                    overhead.remote_storage_time += self._storage_time(s, memory)
-                    if security is not None:
-                        overhead.security_time += security.transfer_cost(s)
-                    if features.caches_remote_fetches:
-                        self._browser_put(c, d, s, v, t)
-                        stamp(browsers[c], d, t, last_mod)
-                        if config.cache_remote_hits_at_proxy and proxy is not None:
-                            proxy.put(d, s, v)
-                            stamp(proxy, d, t, last_mod)
-                    served = True
-                    self._track_index_peak()
-                prof.add("remote_delivery", pc() - t0)
-
-            # 4. origin server
-            if not served:
-                t0 = pc()
-                result.record(HitLocation.ORIGIN, s)
-                overhead.origin_miss_time += wan.fetch_time(s) + lan.transfer_time(s)
-                if proxy is not None:
-                    proxy.put(d, s, v)
-                    stamp(proxy, d, t, last_mod)
-                if features.has_browsers:
-                    self._browser_put(c, d, s, v, t)
-                    stamp(browsers[c], d, t, last_mod)
-                if index is not None:
-                    self._track_index_peak()
-                prof.add("origin_fetch", pc() - t0)
-
-        return self._finalise()
+        return validate, stamp
 
     def _truth_holds(self, doc: int, version: int, exclude: int) -> bool:
         """Does any other browser actually hold (doc, version)?"""
@@ -1861,12 +1198,6 @@ class Simulator:
             if held is not None and held.version == version:
                 return True
         return False
-
-    def _track_index_peak(self) -> None:
-        n = self.index.n_entries
-        if n > self.result.index_peak_entries:
-            self.result.index_peak_entries = n
-            self.result.index_peak_footprint_bytes = self.index.footprint_bytes()
 
     def _finalise(self) -> SimulationResult:
         result = self.result
@@ -1895,32 +1226,18 @@ class Simulator:
 
 
 def simulate(
-    trace: Trace,
-    organization: Organization,
-    config: SimulationConfig,
-    profile: ReplayProfile | None = None,
+    trace: Trace, organization: Organization, config: SimulationConfig
 ) -> SimulationResult:
     """Convenience one-shot: build a :class:`Simulator` and run it.
-
-    ``profile`` (a :class:`~repro.util.profiling.ReplayProfile`) opts
-    into the instrumented loops; results are bit-identical either way.
 
     With ``config.federation`` set the replay dispatches to the
     cooperative multi-proxy engine (:mod:`repro.federation.engine`)
     instead — same entry point, so sweeps, the journal, and the
-    process-pool workers need no federation-specific wiring.  The
-    federated loop is straight-line (no instrumented variant);
-    ``profile`` still accumulates wall clock and request counts.
+    process-pool workers need no federation-specific wiring.
     """
     if config.federation is not None:
         # Imported lazily: repro.federation imports this module.
         from repro.federation.engine import FederatedSimulator
 
-        if profile is None:
-            return FederatedSimulator(trace, organization, config).run()
-        t0 = perf_counter()
-        result = FederatedSimulator(trace, organization, config).run()
-        profile.wall_seconds += perf_counter() - t0
-        profile.n_requests += result.n_requests
-        return result
-    return Simulator(trace, organization, config, profile=profile).run()
+        return FederatedSimulator(trace, organization, config).run()
+    return Simulator(trace, organization, config).run()

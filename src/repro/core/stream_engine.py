@@ -407,7 +407,7 @@ class StreamSimulator:
         caches_remote = features.caches_remote_fetches
         cache_remote_at_proxy = config.cache_remote_hits_at_proxy
 
-        # Inlined timing models — identical arithmetic to _run_fast so
+        # Inlined timing models — identical arithmetic to Simulator.run so
         # the accumulated floats match the materialised engine exactly.
         lan = config.lan
         wan = config.wan
@@ -433,7 +433,7 @@ class StreamSimulator:
         security = config.security
         sec_transfer = security.transfer_cost if security is not None else None
 
-        # Batched counters, flushed once (same discipline as _run_fast).
+        # Batched counters, flushed once (same discipline as Simulator.run).
         n_requests = 0
         total_bytes = 0
         lb_hits = lb_bytes = 0

@@ -389,8 +389,9 @@ class FederatedSimulator:
     # -- accounting ----------------------------------------------------------
 
     def _track_peak(self) -> None:
-        """Aggregate index peak across all proxies (reduces to
-        ``Simulator._track_index_peak`` for one proxy)."""
+        """Aggregate index peak across all proxies (reduces to the
+        peak tracking in ``Simulator.run``'s populate tail for one
+        proxy)."""
         sims = self.sims
         total = 0
         for sim in sims:

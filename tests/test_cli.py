@@ -65,6 +65,25 @@ def test_simulate_with_log(tmp_path, capsys, small_trace):
     assert "remote-browser share" in out
 
 
+def test_profile_command_times_every_organization(tmp_path, capsys, small_trace):
+    import json
+
+    from repro.core.policies import Organization
+    from repro.traces.squid import parse_squid_log, write_squid_log
+
+    path = tmp_path / "access.log"
+    write_squid_log(small_trace, path)
+    n_requests = len(parse_squid_log(path))
+    argv = ["profile", "--log", str(path), "--json", "-o", "all", "--repeat", "2"]
+    assert main(argv) == 0
+    summaries = json.loads(capsys.readouterr().out)["organizations"]
+    assert sorted(summaries) == sorted(o.value for o in Organization)
+    for summary in summaries.values():
+        assert summary["n_requests"] == n_requests * 2
+        assert summary["wall_seconds"] > 0.0
+        assert summary["requests_per_second"] > 0.0
+
+
 def test_simulate_failure_model_flags(tmp_path, capsys, small_trace):
     from repro.traces.squid import write_squid_log
 

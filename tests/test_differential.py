@@ -14,6 +14,11 @@ policies — both engines must produce exactly equal
 :class:`~repro.core.metrics.SimulationResult`\\ s, compared field for
 field through :func:`dataclasses.asdict`.
 
+The adversarial-peer and quarantine knobs are beyond the frozen
+reference, so a second property checks them against an independent
+oracle instead: one-proxy federation, whose straight-line loop shares
+only the per-holder helpers with the optimized kernel.
+
 The example budget follows ``HYPOTHESIS_PROFILE``: 25 examples per
 test by default (fast enough for the tier-1 run), 200 under the
 ``ci-nightly`` profile.
@@ -28,13 +33,14 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 
+from repro.adversarial import AdversarialConfig
 from repro.consistency.policies import (
     AdaptiveTTLPolicy,
     AlwaysValidatePolicy,
     FixedTTLPolicy,
 )
-from repro.core.churn import ChurnModel
-from repro.core.config import SimulationConfig
+from repro.core.churn import ChurnModel, MassChurnSchedule
+from repro.core.config import FederationConfig, SimulationConfig
 from repro.core.policies import Organization
 from repro.core.proxy_faults import ProxyFaultModel
 from repro.core.reference import reference_simulate
@@ -42,7 +48,6 @@ from repro.core.simulator import simulate
 from repro.index.checkpoint import CheckpointPolicy
 from repro.index.staleness import PeriodicUpdatePolicy
 from repro.traces.record import Trace
-from repro.util.profiling import ReplayProfile
 
 settings.register_profile("default", max_examples=25, deadline=None)
 settings.register_profile(
@@ -159,6 +164,9 @@ def configs(draw):
 
 
 ORGS = st.sampled_from(list(Organization))
+#: organizations with a browser index — the only ones whose requests
+#: reach remote peers, and so polluters, flappers and quarantines.
+INDEX_ORGS = st.sampled_from([o for o in Organization if o.features.has_index])
 
 
 @given(trace=traces(), config=configs(), org=ORGS)
@@ -169,12 +177,45 @@ def test_optimized_matches_reference(trace, config, org):
     assert opt == ref
 
 
-@given(trace=traces(), config=configs(), org=ORGS)
-def test_profiled_matches_reference(trace, config, org):
-    """The instrumented loops add observation, never behaviour."""
-    ref = dataclasses.asdict(reference_simulate(trace, org, config))
-    profile = ReplayProfile()
-    opt = dataclasses.asdict(simulate(trace, org, config, profile=profile))
-    assert opt == ref
-    assert profile.n_requests == len(trace)
-    assert profile.wall_seconds > 0.0
+@st.composite
+def adversarial_configs(draw):
+    """:func:`configs` plus polluters, flappers and the quarantine
+    defense, with consistency off (federation rejects it)."""
+    config = draw(configs())
+    polluters = draw(st.sampled_from((0.0, 0.3, 0.6)))
+    flappers = draw(st.sampled_from((0.0, 0.3)))
+    adversarial = AdversarialConfig(
+        polluter_fraction=polluters,
+        polluter_corruption_rate=draw(st.sampled_from((0.3, 1.0))),
+        flapper_fraction=flappers,
+        flap_schedule=(
+            MassChurnSchedule(windows=((draw(st.floats(0.0, 50.0)), 200.0),))
+            if flappers
+            else None
+        ),
+    )
+    threshold = draw(st.sampled_from((0, 1, 1, 2)))
+    decay = draw(st.sampled_from((None, 5.0, 60.0))) if threshold else None
+    blacklist = draw(
+        st.one_of(st.none(), st.lists(st.integers(0, 5), max_size=3).map(tuple))
+    )
+    return config.with_(
+        consistency=None,
+        # roomy browsers, so peers hold what the index claims and the
+        # remote path (where adversaries act) is taken often
+        browser_capacity=draw(st.integers(1_000, 8_000)),
+        corruption_rate=draw(st.sampled_from((0.0, 0.1, 0.3))),
+        adversarial=adversarial,
+        quarantine_threshold=threshold,
+        quarantine_decay=decay,
+        static_blacklist=blacklist,
+    )
+
+
+@given(trace=traces(), config=adversarial_configs(), org=INDEX_ORGS)
+def test_adversarial_knobs_match_single_proxy_federation(trace, config, org):
+    """Knobs the reference cannot express: the optimized kernel must
+    equal one-proxy federation's straight-line loop, field for field."""
+    plain = dataclasses.asdict(simulate(trace, org, config))
+    one_proxy = config.with_(federation=FederationConfig(n_proxies=1))
+    assert dataclasses.asdict(simulate(trace, org, one_proxy)) == plain

@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.consistency.policies import AlwaysValidatePolicy
 from repro.core import (
     FederationConfig,
     HitLocation,
@@ -102,6 +103,18 @@ def test_single_proxy_identity_holds_for_every_organization(small_trace, org):
         small_trace, org, base.with_(federation=FederationConfig(n_proxies=1))
     )
     assert dataclasses.asdict(federated) == dataclasses.asdict(plain)
+
+
+def test_federation_rejects_consistency_by_name(small_trace):
+    """The federated loop has no coherence step: a consistency policy
+    would be silently ignored (0 validations where plain simulate
+    counts hundreds), so the combination is refused up front."""
+    base = SimulationConfig.relative(small_trace, 0.10, browser_sizing="minimum")
+    with pytest.raises(ValueError, match="consistency"):
+        base.with_(
+            consistency=AlwaysValidatePolicy(),
+            federation=FederationConfig(n_proxies=1),
+        )
 
 
 # -- digest build & exchange ---------------------------------------------------

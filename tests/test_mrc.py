@@ -57,9 +57,10 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 @st.composite
 def traces(draw):
-    """Small traces with version bumps that change sizes, including
-    documents larger than the smallest grid capacities (so refusal and
-    oversized-refresh paths are exercised, not just clean LRU)."""
+    """Small traces with version bumps that change sizes — up or down —
+    including documents larger than the smallest grid capacities (so
+    refusal, oversized-refresh and shrinking-refresh paths are all
+    exercised, not just clean LRU)."""
     n = draw(st.integers(10, 120))
     n_clients = draw(st.integers(2, 5))
     n_docs = draw(st.integers(2, 25))
@@ -71,24 +72,32 @@ def traces(draw):
         st.lists(st.integers(1, 3_000), min_size=n_docs, max_size=n_docs)
     )
     bumps = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    resizes = draw(st.lists(st.integers(1, 3_000), min_size=n, max_size=n))
     versions = []
     current: dict[int, int] = {}
+    body = dict(enumerate(base_sizes))
     sizes = []
     for i in range(n):
         d = docs[i]
         v = current.get(d, 0)
         if bumps[i] and d in current:
             v += 1
+            body[d] = resizes[i]
         current[d] = v
         versions.append(v)
-        sizes.append(base_sizes[d] + v)
+        sizes.append(body[d])
+    return _trace(clients, docs, sizes, versions)
+
+
+def _trace(clients, docs, sizes, versions, name="mrc-prop"):
+    n = len(docs)
     return Trace(
         timestamps=np.arange(n, dtype=np.float64),
-        clients=np.array(clients),
-        docs=np.array(docs),
-        sizes=np.array(sizes),
-        versions=np.array(versions),
-        name="mrc-prop",
+        clients=np.array(clients, dtype=np.int64),
+        docs=np.array(docs, dtype=np.int64),
+        sizes=np.array(sizes, dtype=np.int64),
+        versions=np.array(versions, dtype=np.int64),
+        name=name,
     )
 
 
@@ -105,8 +114,7 @@ def grids(draw):
 # -- exactness: the strongest property ---------------------------------
 
 
-@given(trace=traces(), grid=grids())
-def test_pure_lru_organizations_bit_exact_vs_replay(trace, grid):
+def _assert_exact_orgs_match_replay(trace, grid):
     analysis = compute_mrc(trace, grid, organizations=tuple(MRC_EXACT_ORGANIZATIONS))
     for org in MRC_EXACT_ORGANIZATIONS:
         for i, frac in enumerate(grid.fractions):
@@ -120,10 +128,50 @@ def test_pure_lru_organizations_bit_exact_vs_replay(trace, grid):
                 ),
             )
             assert point.exact
-            assert point.hit_ratio == pytest.approx(replay.hit_ratio, abs=1e-12)
-            assert point.byte_hit_ratio == pytest.approx(
-                replay.byte_hit_ratio, abs=1e-12
-            )
+            assert (org, frac, point.hit_ratio) == (org, frac, replay.hit_ratio)
+            assert point.byte_hit_ratio == replay.byte_hit_ratio
+
+
+@given(trace=traces(), grid=grids())
+def test_pure_lru_organizations_bit_exact_vs_replay(trace, grid):
+    _assert_exact_orgs_match_replay(trace, grid)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # A and B (6 bytes each) overflow the 10-byte cache, evicting A;
+        # B's refresh to 2 bytes drops A's stack distance back to 2, but
+        # a real LRU does not bring A back.
+        [(0, 6, 0), (1, 6, 0), (1, 2, 1), (0, 6, 0)],
+        # Z evicts A and Y; Y's refresh to a refused 20-byte body removes
+        # its weight below A the same way.
+        [(0, 1, 0), (1, 8, 0), (2, 5, 0), (1, 20, 1), (0, 1, 0)],
+    ],
+    ids=["smaller-body", "refused-body"],
+)
+def test_lowering_refresh_does_not_resurrect_evicted_documents(rows):
+    docs, sizes, versions = zip(*rows)
+    trace = _trace([0] * len(rows), docs, sizes, versions, name="hand-built")
+    grid = CapacityGrid((0.1,), (10,), (10,))
+    analysis = compute_mrc(trace, grid, organizations=tuple(MRC_EXACT_ORGANIZATIONS))
+    for org in MRC_EXACT_ORGANIZATIONS:
+        assert analysis.predict(org, 0.1).hit_ratio == 0.0
+    _assert_exact_orgs_match_replay(trace, grid)
+
+
+def test_shrinking_refresh_exact_on_calibrated_profile_seed():
+    """NLANR-uc scaled to 30k requests with generator seed 1583587466:
+    a refresh shrank document 9207 after it had evicted document 8884
+    from client 77's browser, and the MRC counted request 15,666 as a
+    hit at 0.5% — one more than the replay."""
+    from dataclasses import replace
+
+    from repro.traces.profiles import get_profile
+
+    profile = replace(get_profile("NLANR-uc"), seed=1583587466).scaled(30_000)
+    trace = profile.generate()
+    _assert_exact_orgs_match_replay(trace, capacity_grid(trace, PAPER_SIZE_FRACTIONS))
 
 
 # -- monotonicity ------------------------------------------------------

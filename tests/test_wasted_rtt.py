@@ -43,8 +43,9 @@ def test_bloom_false_hits_charge_a_setup_each(small_trace):
 
 
 def test_coherent_path_charges_wasted_round_trips(small_trace):
-    """_run_coherent has its own escalation branches; both must price
-    wasted round trips the same way as the fast path."""
+    """Coherence changes the kernel's escalation (a changed copy goes
+    straight to the origin); wasted round trips must still be priced
+    the same way as without it."""
     config = SimulationConfig.relative(small_trace, proxy_frac=0.1).with_(
         holder_availability=0.5,
         index_kind="bloom",
